@@ -91,8 +91,11 @@ func newMVCC(env *Env) *mvcc {
 func (p *mvcc) Name() string { return "MVCC" }
 
 // Begin implements Protocol: draw the begin timestamp and register it for
-// GC visibility.
+// GC visibility. A lower bound is announced before the draw: between the
+// draw and the announcement a committing writer's watermark would skip this
+// reader and prune the version it needs.
 func (p *mvcc) Begin(tx *txn.Txn) {
+	p.env.Active.Enter(tx.ThreadID, p.env.TS.Last()+1)
 	tx.ID = p.env.TS.Next()
 	if tx.Priority == 0 {
 		tx.Priority = tx.ID

@@ -38,9 +38,11 @@ type Protocol interface {
 	Begin(tx *txn.Txn)
 
 	// Read returns a stable image of the record, recording the access. The
-	// returned slice must remain valid until Commit/Abort. The caller has
-	// already resolved own-writes; Read only sees committed state plus
-	// protocol-internal pending state.
+	// image is valid only until the transaction's Commit or Abort returns:
+	// after that a protocol may recycle it (SILO reuses retired images), so
+	// the engine never holds one past that point and copies out anything it
+	// keeps. The caller has already resolved own-writes; Read only sees
+	// committed state plus protocol-internal pending state.
 	Read(tx *txn.Txn, tbl *storage.Table, rid storage.RecordID) ([]byte, error)
 
 	// ReadForUpdate returns a writable after-image buffer seeded with the

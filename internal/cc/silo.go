@@ -9,11 +9,11 @@ import (
 )
 
 // siloMeta is the per-record state: the TID word (bit 0 is the commit lock,
-// upper 63 bits the TID of the last writer) and a pointer to the immutable
-// committed row image. Readers load the pointer between two word loads —
-// the Go-memory-model-clean equivalent of Silo's seqlock read: because
-// writers hold the lock bit across the data-pointer store, two equal
-// unlocked word loads bracket an unchanged pointer.
+// upper 63 bits the TID of the last writer) and a pointer to the committed
+// row image, immutable while published. Readers load the pointer between
+// two word loads — the Go-memory-model-clean equivalent of Silo's seqlock
+// read: because writers hold the lock bit across the data-pointer store,
+// two equal unlocked word loads bracket an unchanged pointer.
 //
 // A nil data pointer means the record is absent (never inserted, or
 // deleted).
@@ -36,27 +36,127 @@ const siloSpinLimit = 256
 // the common case touches no shared counters at all.
 //
 // Committed row images live behind per-record atomic pointers rather than
-// in the table arena, trading one allocation per committed write for reads
-// that are free of both latches and torn-read retries.
+// in the table arena, so reads are free of both latches and torn-read
+// retries. An install publishes a fresh image and retires the old one to
+// the committing slot's limbo; Silo's epochs say when no reader can still
+// hold it, and a later install then reuses it instead of allocating.
 type silo struct {
-	env     *Env
-	meta    tableMetas[siloMeta]
-	lastTID []atomic.Uint64 // per-thread last commit TID
+	env   *Env
+	meta  tableMetas[siloMeta]
+	slots []siloSlot // one per worker slot, checkpoint slot included
 }
 
 func newSilo(env *Env) *silo {
-	return &silo{env: env, lastTID: make([]atomic.Uint64, env.NumThreads)}
+	p := &silo{env: env, slots: make([]siloSlot, env.NumThreads)}
+	for i := range p.slots {
+		p.slots[i].active.Store(siloIdle)
+	}
+	return p
+}
+
+// siloIdle is the announced epoch of a slot with no transaction running.
+const siloIdle = ^uint64(0)
+
+// siloLimboCap bounds each slot's limbo. It holds a few epochs' worth of
+// retirements at the default 10 ms epoch; past it, retired images are left
+// to the garbage collector (a reader pinning an old epoch, a stalled
+// epoch ticker).
+const siloLimboCap = 1 << 14
+
+// siloRetired is a committed image taken out of its record, waiting until
+// every transaction that could have read it has ended.
+type siloRetired struct {
+	img   *[]byte
+	epoch uint64 // Epoch.Now() read after the image was unpublished
+}
+
+// siloSlot is a worker slot's reclamation state, padded to two cache lines
+// so neighboring workers share none. active is the only field other slots
+// read; the rest is touched by the slot's owner alone.
+//
+//next700:cachepad(128)
+type siloSlot struct {
+	// active is the epoch the slot's running transaction began in
+	// (siloIdle between transactions). Unlike ActiveTable, an out-of-range
+	// slot panics rather than going unannounced and letting its images be
+	// recycled under it.
+	active  atomic.Uint64
+	lastTID uint64 // TID of the slot's previous commit
+	// safe is the horizon at the slot's last scan: images retired in an
+	// epoch below it are unreachable. It never exceeds the scanning
+	// commit's own epoch, so no image retired after the scan is below it.
+	safe        uint64
+	limbo       []siloRetired // FIFO ring of siloLimboCap, made by the first fresh image
+	head, count int
+	_           [64]byte
 }
 
 // Name implements Protocol.
 func (p *silo) Name() string { return "SILO" }
 
-// Begin implements Protocol: record the epoch; no shared state is touched.
+// Begin implements Protocol: record the epoch and announce it in the
+// slot's own cache line; no shared counter is touched.
 func (p *silo) Begin(tx *txn.Txn) {
 	if tx.Priority == 0 {
 		tx.Priority = p.env.TS.Next()
 	}
 	tx.Epoch = p.env.Epoch.Now()
+	p.slots[tx.ThreadID].active.Store(tx.Epoch)
+}
+
+// horizon returns the smallest epoch any slot has announced. Called by a
+// committing slot, so the result is at most its own epoch.
+func (p *silo) horizon() uint64 {
+	min := siloIdle
+	for i := range p.slots {
+		if e := p.slots[i].active.Load(); e < min {
+			min = e
+		}
+	}
+	return min
+}
+
+// image returns a private copy of data for publishing: the oldest limbo
+// image if it was retired below the horizon and is large enough, else a
+// fresh one.
+func (s *siloSlot) image(data []byte) *[]byte {
+	if s.count > 0 && s.limbo[s.head].epoch < s.safe {
+		r := &s.limbo[s.head]
+		img := r.img
+		*r = siloRetired{}
+		s.head = (s.head + 1) % siloLimboCap
+		s.count--
+		if cap(*img) >= len(data) {
+			*img = (*img)[:len(data)]
+			copy(*img, data)
+			return img
+		}
+	}
+	return s.fresh(data)
+}
+
+// fresh is the limbo miss: the limbo is empty, its oldest image may still
+// be read, or that image is too small. The slot's first install also makes
+// its limbo, so slots that never write carry none.
+//
+//next700:allowalloc(limbo miss: images retired in the current epoch may still be read; the alloc gate pins the steady state at 0)
+func (s *siloSlot) fresh(data []byte) *[]byte {
+	if s.limbo == nil {
+		s.limbo = make([]siloRetired, siloLimboCap)
+	}
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return &cp
+}
+
+// retire appends an unpublished image to the limbo, leaving it to the
+// garbage collector when the limbo is full (or not yet made).
+func (s *siloSlot) retire(img *[]byte, epoch uint64) {
+	if s.count == len(s.limbo) {
+		return
+	}
+	s.limbo[(s.head+s.count)%siloLimboCap] = siloRetired{img: img, epoch: epoch}
+	s.count++
 }
 
 // LoadRecord implements Loader: seed the committed image.
@@ -166,8 +266,15 @@ func (p *silo) lockWord(m *siloMeta, obs uint64) bool {
 	}
 }
 
-// Commit implements Protocol: Silo's three-phase commit.
+// Commit implements Protocol: Silo's three-phase commit. The slot's epoch
+// announcement is withdrawn on every outcome.
 func (p *silo) Commit(tx *txn.Txn) error {
+	err := p.commit(tx)
+	p.slots[tx.ThreadID].active.Store(siloIdle)
+	return err
+}
+
+func (p *silo) commit(tx *txn.Txn) error {
 	writes := sortWriteIndices(tx)
 
 	// Phase 1: lock the write set in canonical order.
@@ -213,33 +320,44 @@ func (p *silo) Commit(tx *txn.Txn) error {
 	}
 
 	// Phase 3: compute the commit TID and install. The data pointer is
-	// stored while the word still carries the lock bit; the final word
+	// swapped while the word still carries the lock bit; the final word
 	// store releases.
+	//
+	// Readers hold the old image lock-free, so the new one must be owned by
+	// no reader: never a view of the transaction's arena, and a recycled
+	// image only once its retirement epoch is below every announced epoch.
+	// The horizon is rescanned at most once per commit, when the oldest
+	// limbo image is from a past epoch but the cached horizon does not
+	// cover it. The old image is tagged with the epoch read after the swap:
+	// any reader that loaded it announced that epoch or an earlier one
+	// first, and this commit's own announcement keeps its retirements out
+	// of its own later installs.
 	tid := p.commitTID(tx)
 	word := tid << 1
+	s := &p.slots[tx.ThreadID]
+	if s.count > 0 {
+		if e := s.limbo[s.head].epoch; e >= s.safe && e < p.env.Epoch.Now() {
+			s.safe = p.horizon()
+		}
+	}
 	for _, wi := range writes {
 		a := &tx.Accesses[wi]
 		m := p.meta.get(a.Table, a.RID)
+		var img *[]byte
+		if a.Kind != txn.KindDelete {
+			img = s.image(a.Data)
+		}
+		old := m.data.Swap(img)
 		switch a.Kind {
 		case txn.KindDelete:
-			m.data.Store(nil)
 			a.Table.SetTombstone(a.RID, true)
-		default:
-			// Allocation budget: this copy is SILO's only steady-state heap
-			// traffic — 2 allocations per written record (the image bytes and
-			// the slice header escaping into the atomic.Pointer). It is load-
-			// bearing: readers hold the previous image lock-free, so the
-			// committed image must be freshly owned, never a view of the
-			// transaction's arena. The alloc gate (bench/alloc_test.go) pins
-			// this budget at exactly 2/write.
-			cp := make([]byte, len(a.Data)) //next700:allowalloc(the documented per-write publish copy, pinned by the alloc-gate budget)
-			copy(cp, a.Data)
-			m.data.Store(&cp)
-			if a.Kind == txn.KindInsert {
-				a.Table.SetTombstone(a.RID, false)
-			}
+		case txn.KindInsert:
+			a.Table.SetTombstone(a.RID, false)
 		}
 		m.word.Store(word) // install + unlock in one store
+		if old != nil {
+			s.retire(old, p.env.Epoch.Now())
+		}
 	}
 	tx.ID = tid
 	return nil
@@ -254,14 +372,15 @@ func (p *silo) commitTID(tx *txn.Txn) uint64 {
 			tid = obs
 		}
 	}
-	if last := p.lastTID[tx.ThreadID].Load(); last > tid {
-		tid = last
+	s := &p.slots[tx.ThreadID]
+	if s.lastTID > tid {
+		tid = s.lastTID
 	}
 	tid++
 	if min := tx.Epoch << 32; tid < min {
 		tid = min | 1
 	}
-	p.lastTID[tx.ThreadID].Store(tid)
+	s.lastTID = tid
 	return tid
 }
 
@@ -280,7 +399,7 @@ func (p *silo) unlockWrites(tx *txn.Txn, writes []int, n int) {
 }
 
 // Abort implements Protocol: only insert-time locks are held outside
-// commit.
+// commit; the slot's epoch announcement is withdrawn.
 func (p *silo) Abort(tx *txn.Txn) {
 	for i := range tx.Accesses {
 		a := &tx.Accesses[i]
@@ -289,4 +408,5 @@ func (p *silo) Abort(tx *txn.Txn) {
 			m.word.Store(0)
 		}
 	}
+	p.slots[tx.ThreadID].active.Store(siloIdle)
 }

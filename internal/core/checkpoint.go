@@ -202,13 +202,11 @@ func collectKeys(t *Table) []ckptEntry {
 	return entries
 }
 
-// collectQuiesced captures rows with the engine quiesced. Images are
-// copied out because protocol reads may return a per-context buffer that
-// the next read reuses.
+// collectQuiesced captures rows with the engine quiesced.
 func (e *Engine) collectQuiesced(t *Table) ([]ckptEntry, error) {
 	entries := collectKeys(t)
 	for i := range entries {
-		entries[i].row = append([]byte(nil), e.checkpointRow(t, entries[i].rid)...)
+		entries[i].row = e.checkpointRow(nil, t, entries[i].rid)
 	}
 	return entries, nil
 }
@@ -266,10 +264,11 @@ func (e *Engine) onlineRow(tx *Tx, t *Table, rid storage.RecordID) ([]byte, erro
 	return row, nil
 }
 
-// checkpointRow returns the committed image of a live record. For
+// checkpointRow appends the committed image of a live record to dst. For
 // version-storing protocols (MVCC, SILO) the table row can be stale, so
-// the committed image is fetched through a throwaway read.
-func (e *Engine) checkpointRow(t *Table, rid storage.RecordID) []byte {
+// the committed image is fetched through a throwaway read and copied out
+// before the read's Abort releases it.
+func (e *Engine) checkpointRow(dst []byte, t *Table, rid storage.RecordID) []byte {
 	tx := e.checkpointTx()
 	tx.inner.Reset()
 	e.proto.Begin(tx.inner)
@@ -279,8 +278,9 @@ func (e *Engine) checkpointRow(t *Table, rid storage.RecordID) []byte {
 		// superseded by log replay if it matters).
 		data = t.tbl.Row(rid)
 	}
+	dst = append(dst, data...)
 	e.proto.Abort(tx.inner)
-	return data
+	return dst
 }
 
 // checkpointTx lazily creates the dedicated checkpoint-phase context. It

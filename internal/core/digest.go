@@ -16,6 +16,9 @@ import (
 // count or allocation order. This is the oracle deterministic execution is
 // judged by: same seed, same batches ⇒ byte-identical digests.
 //
+// Row images are the committed ones (checkpointRow): SILO and MVCC keep
+// them outside the table arena, which they never write after load.
+//
 // The engine must be quiescent; StateDigest reads rows without concurrency
 // control.
 //
@@ -37,6 +40,7 @@ func (e *Engine) StateDigest() [sha256.Size]byte {
 	var scratch [8]byte
 	var keys []uint64
 	var rids []storage.RecordID
+	var row []byte
 	for i, t := range tables {
 		keys = keys[:0]
 		rids = rids[:0]
@@ -56,7 +60,8 @@ func (e *Engine) StateDigest() [sha256.Size]byte {
 		for j, key := range keys {
 			binary.LittleEndian.PutUint64(scratch[:], key)
 			h.Write(scratch[:])
-			h.Write(t.tbl.Row(rids[j]))
+			row = e.checkpointRow(row[:0], t, rids[j])
+			h.Write(row)
 		}
 	}
 	var out [sha256.Size]byte

@@ -55,6 +55,38 @@ func TestBucketMonotonic(t *testing.T) {
 	}
 }
 
+// TestBucketOfBitPositions covers 0 and a value at every one of the 64 bit
+// positions: powers of two inside the histogram's range are exact bucket
+// boundaries, larger ones clamp to the last bucket, and bit 63 (negative
+// as int64) clamps to bucket 0.
+func TestBucketOfBitPositions(t *testing.T) {
+	if b := bucketOf(0); b != 0 {
+		t.Fatalf("bucketOf(0) = %d", b)
+	}
+	last := maxBuckets*subBuckets - 1
+	prev := 0
+	for i := 0; i < 64; i++ {
+		v := int64(uint64(1) << i)
+		b := bucketOf(v)
+		switch {
+		case i == 63:
+			if b != 0 {
+				t.Fatalf("bit 63: bucketOf(%d) = %d, want 0 (negative clamps)", v, b)
+			}
+			continue
+		case b < prev:
+			t.Fatalf("bit %d: bucket %d below bit %d's %d", i, b, i-1, prev)
+		case b == last:
+			if lo := bucketLow(b); lo > v {
+				t.Fatalf("bit %d: clamped bucket low %d above %d", i, lo, v)
+			}
+		case bucketLow(b) != v:
+			t.Fatalf("bit %d: bucketLow(bucketOf(%d)) = %d, want the value itself", i, v, bucketLow(b))
+		}
+		prev = b
+	}
+}
+
 func TestBucketLowInverse(t *testing.T) {
 	err := quick.Check(func(raw uint32) bool {
 		v := int64(raw)
